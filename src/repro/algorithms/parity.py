@@ -32,7 +32,10 @@ Four implementations, matching the paper's claims:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import is_
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.common import Allocator, CostMeter, RunResult, bsp_fanin, fresh_allocator
 from repro.core.bsp import BSP
@@ -150,6 +153,119 @@ def _block_size(machine: SharedMachine) -> int:
     return 2
 
 
+@lru_cache(maxsize=None)
+def _set_bits(width: int) -> Tuple[Tuple[int, ...], ...]:
+    """Positions of the set bits of every ``width``-bit mask."""
+    return tuple(
+        tuple(i for i in range(width) if x >> i & 1) for x in range(1 << width)
+    )
+
+
+def _read_blocks(
+    machine: Any, base: int, b: int, widths: List[int], proc: int
+) -> Tuple[List[Tuple[int, int, int]], int]:
+    """Phase A of :func:`pattern_level`: reader ``(j, q, i)`` reads bit
+    ``j*b+i``.  Each block's ``w * 2^w`` readers go out as one
+    many-processor read in the scalar issue order (pattern ``q`` outer,
+    position ``i`` inner), so the addresses repeat the block's ``w``
+    cells once per pattern.
+
+    Returns, per block, ``(first reader id, contents v, bad)``, where
+    ``bad`` marks the positions whose cell did not hold a 0/1 bit (they
+    mismatch every pattern), and the next free processor id.
+    """
+    reads = []
+    with machine.phase() as ph:
+        for j, w in enumerate(widths):
+            span = w << w
+            cells = list(range(base + j * b, base + j * b + w))
+            reads.append((proc, w, ph.read_each(range(proc, proc + span), cells * (1 << w))))
+            proc += span
+    blocks = []
+    for first, w, handle in reads:
+        v = bad = 0
+        for i, bit in enumerate(handle.values[:w]):
+            bit = int(bit)
+            if bit == 1:
+                v |= 1 << i
+            elif bit != 0:
+                bad |= 1 << i
+        blocks.append((first, v, bad))
+    return blocks, proc
+
+
+def pattern_level(
+    machine: Any,
+    base: int,
+    size: int,
+    b: int,
+    proc: int,
+    alloc: Allocator,
+    charge_local: bool,
+) -> Tuple[int, int]:
+    """One level of the pattern method: the parities of the ``b``-bit
+    blocks of cells ``base .. base+size-1``, in four phases.
+
+    Shared by :func:`parity_blocks` (QSM) and
+    :func:`~repro.algorithms.pram_algos.parity_crcw` (CRCW PRAM);
+    ``charge_local`` charges the QSM's one local op per parity writer.
+    Returns ``(out_base, next free processor id)``.
+
+    Processor ids and issue order are those of the one-request-per-call
+    emulation (so are the key orders of every record): reader ``(j, q, i)`` is processor ``first_j + q*w + i`` and
+    checker ``(j, q)`` is ``first_check + (j << b) + q``.
+    """
+    groups = -(-size // b)
+    out_base = alloc.alloc(groups)
+    flag_base = alloc.alloc(groups << b)  # mismatch flags, one per (block, pattern)
+    widths = [min(b, size - j * b) for j in range(groups)]
+
+    blocks, proc = _read_blocks(machine, base, b, widths, proc)
+
+    # Phase B: reader (j, q, i) flags cell (j, q) iff its bit differs from
+    # bit i of q — iff bit i of (q ^ v) | bad is set, for the block's
+    # contents v and its non-0/1 positions bad.
+    procs: List[int] = []
+    cells: List[int] = []
+    for j, (w, (first, v, bad)) in enumerate(zip(widths, blocks)):
+        set_bits = _set_bits(w)
+        flag = flag_base + (j << b)
+        for q in range(1 << w):
+            offsets = set_bits[(q ^ v) | bad]
+            if offsets:
+                at = first + q * w
+                procs.extend([at + i for i in offsets])
+                cells.extend([flag + q] * len(offsets))
+    with machine.phase() as ph:
+        ph.write_each(procs, cells, [1] * len(procs))
+
+    # Phase C: checker (j, q) reads flag cell (j, q).  Only the last block
+    # can be narrower, so the checkers and their cells are contiguous.
+    n_check = ((groups - 1) << b) + (1 << widths[-1])
+    first_check = proc
+    with machine.phase() as ph:
+        flags = ph.read_each(
+            range(proc, proc + n_check), range(flag_base, flag_base + n_check)
+        )
+    proc += n_check
+
+    # Phase D: the unflagged pattern of each block is its contents; its
+    # checker writes the block's parity.
+    clean = list(compress(range(n_check), map(is_, flags.values, repeat(None))))
+    mask = (1 << b) - 1
+    with machine.phase() as ph:
+        writers = [first_check + k for k in clean]
+        if charge_local:
+            for pid in writers:
+                ph.local(pid, 1)
+        ph.write_each(
+            writers,
+            [out_base + (k >> b) for k in clean],
+            [bin(k & mask).count("1") & 1 for k in clean],
+        )
+    return out_base, proc
+
+
 def parity_blocks(
     machine: QSM,
     bits: Sequence[int],
@@ -159,8 +275,9 @@ def parity_blocks(
     """Depth-2 circuit emulation: parity via per-block pattern matching.
 
     Intended for the QSM (where contention is charged raw); see the module
-    docstring for the phase structure.  The per-level cost is
-    ``O(max(g, 2^b, b))`` and the level count ``ceil(log n / log b)``, so
+    docstring for the phase structure and :func:`pattern_level` for one
+    level.  The per-level cost is ``O(max(g, 2^b, b))`` and the level count
+    ``ceil(log n / log b)``, so
 
     * plain QSM, ``b = log g``: ``O(g log n / log log g)`` total,
     * unit-time concurrent reads, ``b = g``: ``O(g log n / log g)`` total.
@@ -179,63 +296,13 @@ def parity_blocks(
     size = len(values)
     proc = 0
     levels = 0
-
     while size > 1:
-        groups = -(-size // b)
-        out_base = alloc.alloc(groups)
-        flag_base = alloc.alloc(groups << b)  # mismatch flags, one per (block, pattern)
-
-        # Phase A: reader (block j, pattern q, position i) reads bit j*b+i.
-        read_handles = {}
-        with machine.phase() as ph:
-            for j in range(groups):
-                width = min(b, size - j * b)
-                for q in range(1 << width):
-                    for i in range(width):
-                        pid = proc
-                        proc += 1
-                        read_handles[(j, q, i)] = ph.read(pid, base + j * b + i)
-
-        # Phase B: mismatching readers flag their pattern cell.
-        # Each mismatching reader (same processor id as in Phase A) flags its
-        # pattern cell.
-        with machine.phase() as ph:
-            for (j, q, i), handle in read_handles.items():
-                bit = int(handle.value)
-                want = (q >> i) & 1
-                if bit != want:
-                    ph.write(_reader_pid(j, q, i, read_handles), flag_base + (j << b) + q, 1)
-
-        # Phase C: one checker per (block, pattern) reads the flag cell.
-        checker_handles = {}
-        with machine.phase() as ph:
-            for j in range(groups):
-                width = min(b, size - j * b)
-                for q in range(1 << width):
-                    pid = proc
-                    proc += 1
-                    checker_handles[(j, q)] = (pid, ph.read(pid, flag_base + (j << b) + q))
-
-        # Phase D: the unique unflagged pattern per block writes its parity.
-        new_vals = [0] * groups
-        with machine.phase() as ph:
-            for (j, q), (pid, handle) in checker_handles.items():
-                if handle.value is None:  # no mismatch: q is the block's contents
-                    par = bin(q).count("1") & 1
-                    ph.local(pid, 1)
-                    ph.write(pid, out_base + j, par)
-                    new_vals[j] = par
-
-        base, size = out_base, groups
+        base, proc = pattern_level(machine, base, size, b, proc, alloc, charge_local=True)
+        size = -(-size // b)
         levels += 1
 
     answer = int(machine.peek(base) or 0)
     return meter.result(answer, block_size=b, levels=levels)
-
-
-def _reader_pid(j: int, q: int, i: int, handles) -> int:
-    """Processor id that performed read (j, q, i) — recover it from the handle."""
-    return handles[(j, q, i)].proc
 
 
 def parity_bsp(machine: BSP, bits: Sequence[int]) -> RunResult:

@@ -17,13 +17,10 @@ import math
 from typing import List, Optional, Sequence
 
 from repro.algorithms.common import Allocator, CostMeter, RunResult, fresh_allocator
+from repro.algorithms.parity import MAX_BLOCK_BITS, pattern_level
 from repro.core.pram import PRAM, ConcurrencyViolation
 
 __all__ = ["or_crcw", "parity_erew", "parity_crcw"]
-
-# The CRCW parity pattern method spawns 2^b processors per block; cap the
-# simulated block width (same consideration as parity_blocks on the QSM).
-MAX_BLOCK_BITS = 10
 
 
 def _check_bits(bits: Sequence[int]) -> List[int]:
@@ -144,34 +141,8 @@ def parity_crcw(
     proc = 0
     levels = 0
     while size > 1:
-        groups = -(-size // b)
-        out_base = alloc.alloc(groups)
-        flag_base = alloc.alloc(groups << b)
-
-        readers = {}
-        with machine.phase() as ph:
-            for j in range(groups):
-                width = min(b, size - j * b)
-                for q in range(1 << width):
-                    for i in range(width):
-                        readers[(j, q, i)] = ph.read(proc, base + j * b + i)
-                        proc += 1
-        with machine.phase() as ph:
-            for (j, q, i), handle in readers.items():
-                if int(handle.value) != (q >> i) & 1:
-                    ph.write(handle.proc, flag_base + (j << b) + q, 1)
-        checkers = {}
-        with machine.phase() as ph:
-            for j in range(groups):
-                width = min(b, size - j * b)
-                for q in range(1 << width):
-                    checkers[(j, q)] = ph.read(proc, flag_base + (j << b) + q)
-                    proc += 1
-        with machine.phase() as ph:
-            for (j, q), handle in checkers.items():
-                if handle.value is None:
-                    ph.write(handle.proc, out_base + j, bin(q).count("1") & 1)
-        base, size = out_base, groups
+        base, proc = pattern_level(machine, base, size, b, proc, alloc, charge_local=False)
+        size = -(-size // b)
         levels += 1
 
     with machine.phase() as ph:

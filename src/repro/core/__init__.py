@@ -28,17 +28,20 @@ from repro.core.gsm import GSM
 from repro.core.ir import (
     LocalOp,
     ReadBlockOp,
+    ReadEachOp,
     ReadOp,
     SendBlockOp,
     SendOp,
     WorkOp,
     WriteBlockOp,
+    WriteEachOp,
     WriteOp,
     run_phase,
     run_superstep,
 )
 from repro.core.machine import (
     BlockReadHandle,
+    EachReadHandle,
     MemoryConflictError,
     Phase,
     PhaseClosedError,
@@ -74,6 +77,7 @@ __all__ = [
     "Phase",
     "ReadHandle",
     "BlockReadHandle",
+    "EachReadHandle",
     "SharedMemoryMachine",
     "MemoryConflictError",
     "PhaseClosedError",
@@ -94,8 +98,10 @@ __all__ = [
     "have_numpy",
     "ReadOp",
     "ReadBlockOp",
+    "ReadEachOp",
     "WriteOp",
     "WriteBlockOp",
+    "WriteEachOp",
     "LocalOp",
     "SendOp",
     "SendBlockOp",

@@ -39,6 +39,7 @@ from __future__ import annotations
 import os
 import warnings
 from collections.abc import Mapping, MutableMapping
+from itertools import repeat
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 try:  # numpy is an optional dependency of the core package
@@ -48,11 +49,13 @@ except ImportError:  # pragma: no cover - exercised only on minimal installs
 
 from repro.core.bsp import Superstep
 from repro.core.machine import (
+    EachReadHandle,
     MemoryConflictError,
     Phase,
     PhaseClosedError,
     ReadHandle,
     SharedMemoryMachine,
+    _each_values,
     _is_read_handle,
 )
 
@@ -552,14 +555,17 @@ def _covers(intervals: List[Tuple[int, int]], addr: int) -> bool:
 class VectorPhase(Phase):
     """A phase whose block operations stay as arrays until commit.
 
-    Subclasses :class:`~repro.core.machine.Phase` so scalar bookkeeping,
-    the commit protocol and the materialized fallback are shared; block
-    reads land in ``_rblocks`` as spans and *all* writes land in ``_wops``
-    in issue order (``('b', proc, span, values)`` for blocks,
+    Subclasses :class:`~repro.core.machine.Phase` so scalar and
+    many-processor read bookkeeping, the commit protocol and the
+    materialized fallback are shared; block reads land in ``_rblocks`` as
+    spans and *all* writes land in ``_wops`` in issue order
+    (``('b', proc, span, values)`` for blocks,
     ``('s', proc, addr, value)`` for scalars), with the parent's
     ``_writes`` dict left empty until :meth:`_materialize_writes` replays
     the log — which preserves the reference engine's first-write dict
-    order, and with it the winner-policy RNG draw sequence.
+    order, and with it the winner-policy RNG draw sequence.  A
+    many-processor write (:meth:`write_each`) materializes the log first
+    and then takes the reference path.
     """
 
     def __init__(self, machine: "SharedMemoryMachine") -> None:
@@ -751,7 +757,7 @@ class VectorPhase(Phase):
                 f"write to one location in a phase is forbidden"
             )
         if self._materialized:
-            self._insert_writes(proc, (addr,), (value,))
+            self._insert_writes((proc,), (addr,), (value,))
         else:
             self._wops.append(("s", proc, addr, value))
             if self._wset is not None:
@@ -835,7 +841,7 @@ class VectorPhase(Phase):
             vals = values
         if self._materialized:
             self._insert_writes(
-                proc,
+                repeat(proc),
                 list(self._span_iter(span)),
                 vals.tolist() if isinstance(vals, np.ndarray) else vals,
             )
@@ -852,6 +858,21 @@ class VectorPhase(Phase):
             self._writes_per_proc.get(proc, 0) + len(span)
         )
 
+    def _write_conflict(self, addrs: Sequence[int], lo: int, hi: int) -> bool:
+        if super()._write_conflict(addrs, lo, hi):
+            return True
+        return (
+            bool(self._rblocks)
+            and lo <= self._vr_hi
+            and hi >= self._vr_lo
+            and not self._read_set().isdisjoint(addrs)
+        )
+
+    def _land_each(self, procs: Sequence[int], addrs: Sequence[int], values: Sequence[Any]) -> None:
+        # Many-processor writes go to the reference dict, in issue order.
+        self._materialize_writes()
+        super()._land_each(procs, addrs, values)
+
     # -- commit machinery --------------------------------------------------
 
     def _materialize_writes(self) -> None:
@@ -867,14 +888,14 @@ class VectorPhase(Phase):
         ops, self._wops = self._wops, []
         for op in ops:
             if op[0] == "s":
-                self._insert_writes(op[1], (op[2],), (op[3],))
+                self._insert_writes((op[1],), (op[2],), (op[3],))
             else:
                 _, proc, span, vals = op
                 addr_list = (
                     list(span) if type(span) is range else span.tolist()
                 )
                 val_list = vals.tolist() if isinstance(vals, np.ndarray) else vals
-                self._insert_writes(proc, addr_list, val_list)
+                self._insert_writes(repeat(proc), addr_list, val_list)
 
     def _vector_write_queue(self) -> Optional[CountQueue]:
         """Write queue for a collision-free write log, else ``None`` after
@@ -994,6 +1015,8 @@ class VectorPhase(Phase):
             t = type(handle)
             if t is ReadHandle:
                 handle._resolve(read_cell(handle.addr))
+            elif t is EachReadHandle:
+                handle._resolve(_each_values(machine, handle))
             elif t is VectorBlockReadHandle:
                 if fast:
                     handle._resolve(memory.gather(handle._span))
@@ -1113,8 +1136,6 @@ class VectorSuperstep(Superstep):
         self._sent[src] = self._sent.get(src, 0) + len(darr)
 
     def _materialize_outgoing(self) -> List[Tuple[int, int, Any]]:
-        from itertools import repeat
-
         out: List[Tuple[int, int, Any]] = []
         for op in self._vops:
             if op[0] == "s":

@@ -12,9 +12,9 @@ for the reference-vs-vector bit-equality suite
 (``tests/property/test_engine_equivalence.py``).
 
 Shared-memory instructions: :class:`ReadOp`, :class:`ReadBlockOp`,
-:class:`WriteOp`, :class:`WriteBlockOp` (parallel address/value columns)
-and :class:`LocalOp`.  BSP instructions: :class:`SendOp`,
-:class:`SendBlockOp` and :class:`WorkOp`.
+:class:`ReadEachOp`, :class:`WriteOp`, :class:`WriteBlockOp` (parallel
+address/value columns), :class:`WriteEachOp` and :class:`LocalOp`.  BSP
+instructions: :class:`SendOp`, :class:`SendBlockOp` and :class:`WorkOp`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 __all__ = [
     "ReadOp",
     "ReadBlockOp",
+    "ReadEachOp",
     "WriteOp",
     "WriteBlockOp",
+    "WriteEachOp",
     "LocalOp",
     "SendOp",
     "SendBlockOp",
@@ -59,6 +61,14 @@ class ReadBlockOp:
 
 
 @dataclass(frozen=True)
+class ReadEachOp:
+    """``procs[k]`` reads cell ``addrs[k]`` (a many-processor read)."""
+
+    procs: Sequence[int]
+    addrs: Sequence[int]
+
+
+@dataclass(frozen=True)
 class WriteOp:
     """``proc`` writes ``value`` to cell ``addr``."""
 
@@ -78,6 +88,16 @@ class WriteBlockOp:
     """
 
     proc: int
+    addrs: Sequence[int]
+    values: Sequence[Any]
+
+
+@dataclass(frozen=True)
+class WriteEachOp:
+    """``procs[k]`` writes ``values[k]`` into ``addrs[k]`` (a
+    many-processor write)."""
+
+    procs: Sequence[int]
     addrs: Sequence[int]
     values: Sequence[Any]
 
@@ -118,7 +138,9 @@ class WorkOp:
     ops: int = 1
 
 
-PhaseOp = Union[ReadOp, ReadBlockOp, WriteOp, WriteBlockOp, LocalOp]
+PhaseOp = Union[
+    ReadOp, ReadBlockOp, ReadEachOp, WriteOp, WriteBlockOp, WriteEachOp, LocalOp
+]
 SuperstepOp = Union[SendOp, SendBlockOp, WorkOp]
 
 
@@ -134,10 +156,14 @@ def apply_phase_op(ph: Any, op: PhaseOp) -> Any:
         return ph.read(op.proc, op.addr)
     if kind is ReadBlockOp:
         return ph.read_block(op.proc, op.addrs)
+    if kind is ReadEachOp:
+        return ph.read_each(op.procs, op.addrs)
     if kind is WriteOp:
         ph.write(op.proc, op.addr, op.value)
     elif kind is WriteBlockOp:
         ph.write_cols(op.proc, op.addrs, op.values)
+    elif kind is WriteEachOp:
+        ph.write_each(op.procs, op.addrs, op.values)
     elif kind is LocalOp:
         ph.local(op.proc, op.ops)
     else:

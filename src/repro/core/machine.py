@@ -18,9 +18,12 @@ every processor, issuing reads, writes and local-op charges through a
   still 2 to its own ``m_rw`` request count).
 * **Bulk operations** — :meth:`Phase.read_block` and
   :meth:`Phase.write_block` are semantically identical to loops of
-  :meth:`Phase.read` / :meth:`Phase.write` but update the counters with
-  aggregate operations, so the per-operation Python overhead is paid once
-  per block instead of once per cell (see ``benchmarks/bench_phase_engine``).
+  :meth:`Phase.read` / :meth:`Phase.write` by *one* processor, and
+  :meth:`Phase.read_each` / :meth:`Phase.write_each` to loops in which
+  *many* processors issue one operation each.  Both update the counters
+  with aggregate operations, so the per-operation Python overhead is paid
+  once per call instead of once per cell (see
+  ``benchmarks/bench_phase_engine``).
 * **Write resolution** — model-specific: the QSM/s-QSM pick one arbitrary
   winner per cell; the GSM's strong queuing merges all written values into
   the cell (see subclasses).
@@ -33,8 +36,11 @@ lower-bound engines.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import itemgetter
+import gc
+from collections import Counter
+from contextlib import contextmanager
+from itertools import compress, repeat
+from operator import itemgetter, ne
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -47,6 +53,7 @@ __all__ = [
     "PhaseClosedError",
     "ReadHandle",
     "BlockReadHandle",
+    "EachReadHandle",
     "Phase",
     "SharedMemoryMachine",
     "Collided",
@@ -134,21 +141,10 @@ class ReadHandle:
 _is_read_handle = ReadHandle.__instancecheck__
 
 
-class BlockReadHandle:
-    """Deferred result of a bulk shared-memory read (:meth:`Phase.read_block`).
+class _DeferredValues:
+    """Sealed-until-commit value list shared by the bulk read handles."""
 
-    Sealed while its phase is open; after the phase commits ``.values`` is
-    the list of values the cells held at the start of the phase, in the
-    order the addresses were requested.
-    """
-
-    __slots__ = ("proc", "addrs", "_values", "_resolved")
-
-    def __init__(self, proc: int, addrs: Tuple[int, ...]) -> None:
-        self.proc = proc
-        self.addrs = addrs
-        self._values: Optional[List[Any]] = None
-        self._resolved = False
+    __slots__ = ("addrs", "_values", "_resolved")
 
     def _resolve(self, values: List[Any]) -> None:
         self._values = values
@@ -171,9 +167,56 @@ class BlockReadHandle:
     def __len__(self) -> int:
         return len(self.addrs)
 
+
+class BlockReadHandle(_DeferredValues):
+    """Deferred result of a bulk shared-memory read (:meth:`Phase.read_block`).
+
+    Sealed while its phase is open; after the phase commits ``.values`` is
+    the list of values the cells held at the start of the phase, in the
+    order the addresses were requested.
+    """
+
+    __slots__ = ("proc",)
+
+    def __init__(self, proc: int, addrs: Tuple[int, ...]) -> None:
+        self.proc = proc
+        self.addrs = addrs
+        self._values: Optional[List[Any]] = None
+        self._resolved = False
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = repr(self._values) if self._resolved else "<sealed>"
         return f"BlockReadHandle(proc={self.proc}, addrs={self.addrs!r}, values={state})"
+
+
+class EachReadHandle(_DeferredValues):
+    """Deferred result of a many-processor read (:meth:`Phase.read_each`).
+
+    Request ``k`` is processor ``procs[k]`` reading cell ``addrs[k]``.
+    Sealed while its phase is open; after the phase commits ``.values[k]``
+    is the value ``addrs[k]`` held at the start of the phase.
+    """
+
+    __slots__ = ("procs", "_tile")
+
+    def __init__(self, procs: Sequence[int], addrs: Sequence[int], tile: int = 0) -> None:
+        self.procs = procs
+        self.addrs = addrs
+        # The period ``t`` with ``addrs == addrs[:t] * (len(addrs) // t)``
+        # (``len(addrs)`` when the addresses do not repeat).
+        self._tile = tile or len(addrs)
+        self._values: Optional[List[Any]] = None
+        self._resolved = False
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = repr(self._values) if self._resolved else "<sealed>"
+        return f"EachReadHandle(n={len(self.addrs)}, values={state})"
+
+
+def _each_values(machine: "SharedMemoryMachine", handle: EachReadHandle) -> List[Any]:
+    """What every request of a many-processor read delivers, in request order."""
+    addrs, tile = handle.addrs, handle._tile
+    return list(map(machine._read_cell, addrs[:tile])) * (len(addrs) // tile)
 
 
 # Value types that cannot be stored in the bare-entry form: exact tuples and
@@ -182,8 +225,63 @@ class BlockReadHandle:
 # bare and dispatches as bare, consistently.)
 _NON_PLAIN_TYPES = (tuple, Collided, ReadHandle, BlockReadHandle)
 
-# (proc, value) -> value, at C speed, for bulk commit of tuple entries.
+# (proc, value) -> proc / value, at C speed, for bulk commit of tuple entries.
+_proc_of = itemgetter(0)
 _value_of = itemgetter(1)
+
+_INT_ONLY = {int}
+
+
+def _span_bounds(seq: Sequence[int]) -> Tuple[int, int]:
+    """``(min, max)`` of a non-empty int sequence; O(1) for a ``range``."""
+    if type(seq) is range:
+        return (seq[0], seq[-1]) if seq.step > 0 else (seq[-1], seq[0])
+    return min(seq), max(seq)
+
+
+def _columns(name: str, *cols: Sequence[Any]) -> List[Sequence[Any]]:
+    """Parallel request columns as indexable sequences of one length."""
+    out = [c if type(c) in (range, list, tuple) else tuple(c) for c in cols]
+    if len(set(map(len, out))) > 1:
+        raise ValueError(
+            f"{name} needs parallel columns of equal length, got lengths "
+            f"{[len(c) for c in out]}"
+        )
+    return out
+
+
+@contextmanager
+def _gc_paused():
+    """Hold off the cyclic garbage collector while a bulk path builds many
+    small containers.  They are acyclic and stay reachable from the phase,
+    so a collection in between frees nothing; left on, the collector runs
+    full passes over the growing heap again and again.  If the collector
+    was already off, it stays off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _count_each(counts: Dict[int, int], procs: Sequence[int]) -> None:
+    """Add one request per entry of ``procs`` to ``counts``.
+
+    New keys enter in first-issue order, exactly as the scalar loop's
+    ``counts[p] = counts.get(p, 0) + 1`` would insert them.
+    """
+    if (type(procs) is range or len(set(procs)) == len(procs)) and (
+        not counts or counts.keys().isdisjoint(procs)
+    ):
+        # Fresh, distinct processors: one request each, in one C pass.
+        counts.update(zip(procs, repeat(1)))
+        return
+    get = counts.get
+    for proc, k in Counter(procs).items():
+        counts[proc] = get(proc, 0) + k
 
 
 class Phase:
@@ -289,18 +387,80 @@ class Phase:
                         f"cell {a} is being written this phase; concurrent read "
                         f"and write to one location in a phase is forbidden"
                     )
-        readers = self._readers
-        for a in addr_tuple:
-            procs = readers.get(a)
-            if procs is None:
-                readers[a] = {proc}
-            else:
-                procs.add(proc)
+        self._add_readers(repeat(proc), addr_tuple)
         self._reads_per_proc[proc] = (
             self._reads_per_proc.get(proc, 0) + len(addr_tuple)
         )
         self._reads.append(handle)
         return handle
+
+    def read_each(self, procs: Sequence[int], addrs: Sequence[int]) -> EachReadHandle:
+        """Processor ``procs[k]`` requests the contents of cell ``addrs[k]``.
+
+        Semantically identical to
+        ``[ph.read(p, a) for p, a in zip(procs, addrs)]`` — the same
+        counters, queues, trace and errors — but returns one sealed
+        :class:`EachReadHandle` whose ``.values[k]`` resolves after the
+        phase commits.  The columns must have equal length.  Addresses
+        that repeat one tile of distinct cells (many processors on one
+        cell is a tile of one), and distinct processors reading distinct
+        fresh cells, update the counters in C-level passes.
+        """
+        self._check_open()
+        procs, addrs = _columns("read_each", procs, addrs)
+        if not addrs:
+            handle = EachReadHandle(procs, addrs)
+            handle._resolve([])
+            return handle
+        bounds = self._each_bounds(procs, addrs)
+        if bounds is None or self._read_conflict(addrs, *bounds):
+            # Off the fast path the scalar loop raises its own error at
+            # its own request, with the requests before it issued.
+            for proc, addr in zip(procs, addrs):
+                self.read(proc, addr)
+            raise AssertionError("read_each rejected requests the scalar path accepts")
+        readers = self._readers
+        lo, hi = bounds
+        n = len(addrs)
+        if lo == hi:
+            tile = 1
+        elif type(addrs) is range:
+            tile = n
+        else:
+            tile = len(set(addrs))
+            if tile < n and (n % tile or addrs[:tile] * (n // tile) != addrs):
+                tile = 0  # no repeating tile
+        if tile == n and readers.keys().isdisjoint(addrs):
+            # Distinct fresh cells: one single-reader set each.
+            readers.update(zip(addrs, map(set, zip(procs))))
+        elif 0 < tile < n:
+            # The addresses repeat a tile of distinct cells: cell
+            # addrs[i] gets readers procs[i], procs[i + tile], ... in
+            # issue order, as one reader set.
+            get = readers.get
+            for i in range(tile):
+                procs_at = get(addrs[i])
+                if procs_at is None:
+                    readers[addrs[i]] = set(procs[i::tile])
+                else:
+                    procs_at.update(procs[i::tile])
+        else:
+            self._add_readers(procs, addrs)
+        _count_each(self._reads_per_proc, procs)
+        handle = EachReadHandle(procs, addrs, tile)
+        self._reads.append(handle)
+        return handle
+
+    def _add_readers(self, procs: Any, addrs: Sequence[int]) -> None:
+        """Record ``procs[k]`` as a reader of ``addrs[k]``, per request."""
+        readers = self._readers
+        get = readers.get
+        for proc, addr in zip(procs, addrs):
+            procs_at = get(addr)
+            if procs_at is None:
+                readers[addr] = {proc}
+            else:
+                procs_at.add(proc)
 
     def write(self, proc: int, addr: int, value: Any) -> None:
         """Processor ``proc`` writes ``value`` to cell ``addr``.
@@ -426,12 +586,12 @@ class Phase:
             if len(writes) - before != len(addrs):
                 for a in addrs:
                     writes.pop(a, None)
-                self._insert_writes(proc, addrs, values)
+                self._insert_writes(repeat(proc), addrs, values)
             else:
                 self._has_plain = True
                 self._block_origins.append((proc, addrs))
         else:
-            self._insert_writes(proc, addrs, values)
+            self._insert_writes(repeat(proc), addrs, values)
         if hi > self._write_hi:
             self._write_hi = hi
         if lo < self._write_lo:
@@ -458,12 +618,116 @@ class Phase:
             )
         self.write_block(proc, list(zip(addrs, values)))
 
-    def _insert_writes(self, proc: int, addrs: Sequence[int], values: Sequence[Any]) -> None:
-        """Per-item write insertion (the path that handles colliding cells)."""
+    def write_each(
+        self, procs: Sequence[int], addrs: Sequence[int], values: Sequence[Any]
+    ) -> None:
+        """Processor ``procs[k]`` writes ``values[k]`` to cell ``addrs[k]``.
+
+        Semantically identical to
+        ``for p, a, v in zip(procs, addrs, values): ph.write(p, a, v)`` —
+        the same entries, ``Collided`` order (hence winner draws), counters,
+        trace and errors.  The columns must have equal length.  Writes to
+        distinct fresh cells land in one C-level pass, and writers already
+        grouped by cell (each cell's writes contiguous) land as one entry
+        per cell.
+        """
+        self._check_open()
+        procs, addrs, values = _columns("write_each", procs, addrs, values)
+        if not addrs:
+            return
+        bounds = self._each_bounds(procs, addrs)
+        if (
+            bounds is None
+            or self._write_conflict(addrs, *bounds)
+            or any(issubclass(t, ReadHandle) for t in set(map(type, values)))
+        ):
+            # The scalar loop raises its own error at its own request, or
+            # unwraps the handle values.
+            for proc, addr, value in zip(procs, addrs, values):
+                self.write(proc, addr, value)
+            return
+        self._land_each(procs, addrs, values)
+        lo, hi = bounds
+        if hi > self._write_hi:
+            self._write_hi = hi
+        if lo < self._write_lo:
+            self._write_lo = lo
+        _count_each(self._writes_per_proc, procs)
+
+    def _each_bounds(self, procs: Sequence[int], addrs: Sequence[int]) -> Optional[Tuple[int, int]]:
+        """The addresses' ``(min, max)`` when every request passes the
+        scalar processor and address checks, else ``None``."""
+        if type(procs) is not range and not set(map(type, procs)) <= _INT_ONLY:
+            return None
+        if type(addrs) is not range and not set(map(type, addrs)) <= _INT_ONLY:
+            return None
+        machine = self._machine
+        proc_lo, proc_hi = _span_bounds(procs)
+        lo = addrs[0]
+        if addrs.count(lo) == len(addrs):  # one cell: no min/max passes
+            hi = lo
+        else:
+            lo, hi = _span_bounds(addrs)
+        if proc_lo < 0 or lo < 0:
+            return None
+        if machine.num_processors is not None and proc_hi >= machine.num_processors:
+            return None
+        if machine.memory_size is not None and hi >= machine.memory_size:
+            return None
+        return lo, hi
+
+    def _written_set(self) -> Any:
+        """Membership view of every cell written so far this phase."""
+        return self._writes.keys()
+
+    def _read_conflict(self, addrs: Sequence[int], lo: int, hi: int) -> bool:
+        """Whether any of ``addrs`` (bounds ``lo``..``hi``) is being written."""
+        return (
+            lo <= self._write_hi
+            and hi >= self._write_lo
+            and not self._written_set().isdisjoint(addrs)
+        )
+
+    def _write_conflict(self, addrs: Sequence[int], lo: int, hi: int) -> bool:
+        """Whether any of ``addrs`` (bounds ``lo``..``hi``) is being read."""
+        readers = self._readers
+        return bool(readers) and not readers.keys().isdisjoint(addrs)
+
+    def _land_each(self, procs: Sequence[int], addrs: Sequence[int], values: Sequence[Any]) -> None:
+        """Enter validated many-processor writes into the write dict."""
+        writes = self._writes
+        if not writes or writes.keys().isdisjoint(addrs):
+            n = len(addrs)
+            cells = addrs if type(addrs) is range else dict.fromkeys(addrs)
+            if len(cells) == n:
+                writes.update(zip(addrs, zip(procs, values)))
+                self._has_pairs = True
+                return
+            starts = [0, *compress(range(1, n), map(ne, addrs[1:], addrs))]
+            if len(starts) == len(cells):
+                # Grouped by cell: each run becomes the cell's entry, its
+                # writes in issue order — a Collided list, or the scalar
+                # (proc, value) form for a run of one.
+                ends = starts[1:]
+                ends.append(n)
+                with _gc_paused():
+                    for s, e in zip(starts, ends):
+                        if e - s == 1:
+                            writes[addrs[s]] = (procs[s], values[s])
+                        else:
+                            writes[addrs[s]] = Collided(zip(procs[s:e], values[s:e]))
+                self._write_collision = True
+                self._has_pairs = True
+                return
+        self._insert_writes(procs, addrs, values)
+
+    def _insert_writes(self, procs: Any, addrs: Sequence[int], values: Sequence[Any]) -> None:
+        """Per-item write insertion (the path that handles colliding cells);
+        ``procs`` is the per-write processor column."""
         writes = self._writes
         writes_get = writes.get
         collision = self._write_collision
-        for addr, value in zip(addrs, values):
+        for proc, addr, value in zip(procs, addrs, values):
             entry = writes_get(addr)
             if entry is None:
                 writes[addr] = (proc, value)
@@ -515,11 +779,7 @@ class Phase:
         if not self._write_collision:
             return dict.fromkeys(writes, 1)
         return {
-            addr: (
-                len({p for p, _ in entry})
-                if type(entry) is Collided
-                else 1
-            )
+            addr: len(set(map(_proc_of, entry))) if type(entry) is Collided else 1
             for addr, entry in writes.items()
         }
 
@@ -539,8 +799,11 @@ class Phase:
         """Resolve every read handle against pre-phase memory (engine hook)."""
         read_cell = machine._read_cell
         for handle in self._reads:
-            if type(handle) is ReadHandle:
+            kind = type(handle)
+            if kind is ReadHandle:
                 handle._resolve(read_cell(handle.addr))
+            elif kind is EachReadHandle:
+                handle._resolve(_each_values(machine, handle))
             else:  # BlockReadHandle
                 handle._resolve([read_cell(a) for a in handle.addrs])
 

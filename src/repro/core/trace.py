@@ -41,6 +41,9 @@ class PhaseTrace:
             block_addrs = getattr(handle, "addrs", None)
             if block_addrs is None:  # scalar ReadHandle
                 reads.setdefault(handle.proc, []).append(handle.addr)
+            elif hasattr(handle, "procs"):  # EachReadHandle: one request per proc
+                for proc, addr in zip(handle.procs, block_addrs):
+                    reads.setdefault(proc, []).append(addr)
             else:  # BlockReadHandle
                 reads.setdefault(handle.proc, []).extend(block_addrs)
         from repro.core.machine import Collided

@@ -5,9 +5,10 @@ The vector engine promises to be a drop-in for the reference engine: same
 records, same final memory, same delivered read values and inboxes, same
 traces — and the same winner-policy RNG draws, so even arbitrary-winner
 collisions resolve identically on seeded machines.  Randomized IR programs
-(scalar and block reads/writes, local charges, collisions, duplicates,
-conflicts, faults) are replayed through both engines and every observable
-compared.
+(scalar, block and many-processor reads/writes, local charges, collisions,
+duplicates, conflicts, faults) are replayed through both engines and every
+observable compared.  The many-processor operations are also checked
+against the scalar loops they stand for, errors included.
 """
 
 from dataclasses import replace
@@ -31,11 +32,13 @@ from repro.core import (
     MemoryConflictError,
     PRAMParams,
     ReadBlockOp,
+    ReadEachOp,
     ReadOp,
     SendBlockOp,
     SendOp,
     WorkOp,
     WriteBlockOp,
+    WriteEachOp,
     WriteOp,
     run_phase,
     run_superstep,
@@ -43,6 +46,7 @@ from repro.core import (
 from repro.faults.plan import random_fault_plan
 from repro.faults.winners import FirstWriterWins, LastWriterWins, SeededWinners
 from repro.models import MPC, PEM, MPCParams, PEMParams
+from tests.records import key_orders
 
 ADDRS = st.integers(0, 15)
 VALUES = st.integers(-5, 5)
@@ -59,9 +63,47 @@ def _block_addrs():
     return st.one_of(explicit, contiguous)
 
 
+@st.composite
+def _each_columns(draw, procs=PROCS, addrs=ADDRS):
+    """Parallel (procs, addrs) columns: the shapes the bulk fast paths
+    take (one cell, a repeated tile of cells, cells grouped in runs,
+    ranges) and random order."""
+    k = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from(["random", "one-cell", "tiled", "grouped", "ranges"]))
+    if shape == "ranges":
+        first, base = draw(st.integers(0, 3)), draw(st.integers(0, 12))
+        return range(first, first + k), range(base, base + k)
+    if shape == "tiled":
+        tile = draw(st.lists(addrs, min_size=1, max_size=3))
+        addr_col = tile * draw(st.integers(0, 3))
+        return draw(st.lists(procs, min_size=len(addr_col), max_size=len(addr_col))), addr_col
+    proc_col = draw(st.lists(procs, min_size=k, max_size=k))
+    if shape == "one-cell":
+        return proc_col, [draw(addrs)] * k
+    addr_col = draw(st.lists(addrs, min_size=k, max_size=k))
+    if shape == "grouped":
+        addr_col.sort(key=repr)
+    return proc_col, addr_col
+
+
+def _read_each_ops(**kw):
+    return _each_columns(**kw).map(lambda cols: ReadEachOp(*cols))
+
+
+def _write_each_ops(**kw):
+    return st.builds(
+        lambda cols, seed: WriteEachOp(
+            cols[0], cols[1], [seed + i for i in range(len(cols[1]))]
+        ),
+        _each_columns(**kw),
+        VALUES,
+    )
+
+
 def _write_ops():
     return st.one_of(
         st.builds(WriteOp, PROCS, ADDRS, VALUES),
+        _write_each_ops(),
         st.builds(
             lambda proc, addrs, seed: WriteBlockOp(
                 proc, addrs, [seed + i for i in range(len(addrs))]
@@ -77,6 +119,7 @@ def _write_ops():
 def _read_ops():
     return st.one_of(
         st.builds(ReadOp, PROCS, ADDRS),
+        _read_each_ops(),
         st.builds(ReadBlockOp, PROCS, _block_addrs()),
         st.builds(LocalOp, PROCS, st.integers(0, 4)),
     )
@@ -228,6 +271,98 @@ class TestSharedMemoryBitEquality:
             e.to_dict() for e in vec.fault_events
         ]
         assert _sans_wall(ref.cost_records) == _sans_wall(vec.cost_records)
+
+
+def _scalar_loop(program):
+    """``program`` with every many-processor op spelled as its scalar loop."""
+    out = []
+    for op in program:
+        if type(op) is ReadEachOp:
+            out.extend(ReadOp(p, a) for p, a in zip(op.procs, op.addrs))
+        elif type(op) is WriteEachOp:
+            out.extend(
+                WriteOp(p, a, v) for p, a, v in zip(op.procs, op.addrs, op.values)
+            )
+        else:
+            out.append(op)
+    return out
+
+
+def _flat_values(handles):
+    out = []
+    for h in handles:
+        out.extend(h.values if hasattr(h, "values") else [h.value])
+    return out
+
+
+# Processor ids and addresses the scalar checks reject (on a machine with
+# 4 processors and 16 cells): negative, out of range, bool, float.
+BAD_PROCS = st.one_of(PROCS, st.sampled_from([-1, 4, True]))
+BAD_ADDRS = st.one_of(ADDRS, st.sampled_from([-1, 16, False, 2.0]))
+
+each_write_phases = st.lists(
+    st.one_of(
+        _write_each_ops(),
+        _write_each_ops(procs=BAD_PROCS, addrs=BAD_ADDRS),
+        st.builds(WriteOp, PROCS, ADDRS, VALUES),
+    ),
+    min_size=0,
+    max_size=5,
+)
+each_read_phases = st.lists(
+    st.one_of(
+        _read_each_ops(),
+        _read_each_ops(procs=BAD_PROCS, addrs=BAD_ADDRS),
+        st.builds(ReadOp, PROCS, ADDRS),
+    ),
+    min_size=0,
+    max_size=5,
+)
+
+
+class TestEachOpsMatchScalarLoops:
+    """read_each / write_each == the scalar loops, on both engines."""
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    @pytest.mark.parametrize(
+        "policy", [None, "first", "last", "seeded"],
+        ids=["rng", "first", "last", "seeded"],
+    )
+    @given(writes=each_write_phases, reads=each_read_phases)
+    @settings(max_examples=40, deadline=None)
+    def test_bulk_equals_scalar_loop(self, engine, policy, writes, reads):
+        # A write phase, a read phase, then both in one phase in either
+        # order (read/write conflicts from both sides).
+        phases = [writes, reads, writes + reads, reads + writes]
+
+        def run(program):
+            machine = QSM(
+                num_processors=4, memory_size=16, seed=3, winner_policy=policy,
+                record_trace=True, record_costs=True, engine=engine,
+            )
+            machine.load(list(range(16)))
+            outcome = []
+            for phase in program:
+                try:
+                    outcome.append(_flat_values(run_phase(machine, phase)))
+                except (MemoryConflictError, TypeError, ValueError) as exc:
+                    outcome.append((type(exc), str(exc)))
+            return machine, outcome
+
+        bulk, got = run(phases)
+        loop, want = run([_scalar_loop(phase) for phase in phases])
+        assert got == want
+        _assert_machines_equal(bulk, loop)
+        assert key_orders(bulk) == key_orders(loop)
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    def test_mismatched_columns_rejected(self, engine):
+        machine = QSM(engine=engine)
+        with machine.phase() as ph:
+            with pytest.raises(ValueError, match="equal length"):
+                ph.read_each([0, 1], [3])
+            with pytest.raises(ValueError, match="equal length"):
+                ph.write_each([0], [3], [1, 2])
 
 
 class TestPRAMBitEquality:

@@ -13,6 +13,7 @@ from repro.sched.campaign import (
     run_campaign,
 )
 from repro.sched.store import ResultStore
+from tests.markers import mark_run, run_count
 
 
 # Module-level task functions (pool tasks must pickle).
@@ -20,10 +21,7 @@ from repro.sched.store import ResultStore
 def emit(value, marker_dir=None, name=""):
     """Return a small outcome; optionally touch a marker file per execution."""
     if marker_dir is not None:
-        count_file = os.path.join(marker_dir, f"{name}.count")
-        count = int(open(count_file).read()) if os.path.exists(count_file) else 0
-        with open(count_file, "w") as fh:
-            fh.write(str(count + 1))
+        mark_run(marker_dir, name)
     return {"value": value, "correct": True}
 
 
@@ -33,10 +31,7 @@ def boom():
 
 def flaky(marker_dir, name="flaky"):
     """Fail on the first attempt, succeed afterwards (cross-process state)."""
-    count_file = os.path.join(marker_dir, f"{name}.count")
-    count = int(open(count_file).read()) if os.path.exists(count_file) else 0
-    with open(count_file, "w") as fh:
-        fh.write(str(count + 1))
+    count = mark_run(marker_dir, name) - 1
     if count == 0:
         raise RuntimeError("first attempt fails")
     return {"value": count, "correct": True}
@@ -44,11 +39,6 @@ def flaky(marker_dir, name="flaky"):
 
 def total(results):
     return {"total": sum(r["value"] for r in results.values()), "correct": True}
-
-
-def run_count(marker_dir, name):
-    count_file = os.path.join(marker_dir, f"{name}.count")
-    return int(open(count_file).read()) if os.path.exists(count_file) else 0
 
 
 class TestValidation:

@@ -18,6 +18,7 @@ from repro.sched.store import ResultStore
 from repro.sched.tenancy import FairShareMultiplexer, QuotaExceeded, TenantQuota
 from repro.serve.contracts import ContractError, SubmitRequest
 from repro.serve.service import CampaignService
+from tests.markers import mark_run, run_count
 
 
 # Module-level task functions (pool tasks must pickle).
@@ -27,10 +28,7 @@ def emit(value, tenant="", marker_dir=None, name="", delay=0.0):
     if delay:
         time.sleep(delay)
     if marker_dir is not None:
-        count_file = os.path.join(marker_dir, f"{name}.count")
-        count = int(open(count_file).read()) if os.path.exists(count_file) else 0
-        with open(count_file, "w") as fh:
-            fh.write(str(count + 1))
+        mark_run(marker_dir, name)
     return {"value": value, "correct": True}
 
 
@@ -38,10 +36,7 @@ def flaky_once(marker_dir, delay=0.0):
     """Fail on the first execution, succeed afterwards (cross-process state)."""
     if delay:
         time.sleep(delay)
-    count_file = os.path.join(marker_dir, "flaky.count")
-    count = int(open(count_file).read()) if os.path.exists(count_file) else 0
-    with open(count_file, "w") as fh:
-        fh.write(str(count + 1))
+    count = mark_run(marker_dir, "flaky") - 1
     if count == 0:
         raise RuntimeError("first execution fails")
     return {"value": count, "correct": True}
@@ -166,7 +161,7 @@ def test_dedup_after_completion(mux, tmp_path):
     assert a.counts() == {"done": 3}
     assert b.counts() == {"cached": 3}
     # Three distinct specs, each executed exactly once across both tenants.
-    assert open(os.path.join(marker, "p.count")).read() == "3"
+    assert run_count(marker, "p") == 3
 
 
 def test_dedup_of_in_flight_work(mux):
@@ -200,7 +195,7 @@ def test_failed_owner_requeues_waiters(store, tmp_path):
         # re-executed the task itself, and succeeded.
         assert a.state == "failed"
         assert b.state == "done"
-        assert open(os.path.join(marker, "flaky.count")).read() == "2"
+        assert run_count(marker, "flaky") == 2
     finally:
         mux.shutdown()
 
