@@ -1072,7 +1072,9 @@ def run_serve(argv: List[str]) -> int:
             quota=quota,
             snapshot_interval=args.interval,
             metrics_path=args.metrics,
-            progress=None if args.quiet else print,
+            progress=None if args.quiet else (
+                lambda job_id, line: print(f"{job_id}: {line}")
+            ),
             workers_port=args.workers_port,
             workers_host=args.workers_host,
         )

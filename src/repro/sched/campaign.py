@@ -30,17 +30,19 @@ need cross-task data but no isolation.  Inline outcomes are not stored:
 they are derived data, recomputed from stored results on resume.
 
 The DAG-stepping state itself lives in :class:`CampaignExecution`, an
-incremental state machine with no pool loop of its own.  ``run_campaign``
-drives exactly one execution to completion on one pool; the multi-tenant
-service multiplexer (:class:`repro.sched.tenancy.FairShareMultiplexer`,
-behind ``python -m repro serve``) drives many concurrent executions on a
-single shared pool, which is why the stepping logic is factored out here
-rather than inlined in the driver loop.
+incremental state machine with no pool loop of its own.  One driver
+steps it: the fair-share multiplexer
+(:class:`repro.sched.tenancy.FairShareMultiplexer`), which runs many
+tenants' executions on one shared pool behind ``python -m repro serve``.
+``run_campaign`` is that multiplexer with a single job: it owns the
+report, the metrics stream, Ctrl-C handling and the trace export, and
+none of the dispatch.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import signal
 import time
 from dataclasses import dataclass, field
@@ -233,17 +235,15 @@ class CampaignExecution:
     frontier, dependency unlocking, retries accounting, the final
     skipped/pending classification) and the store writes; *when* tasks
     are handed to a pool, and to which pool, is the driver's business.
-    Two drivers exist:
-
-    * :func:`run_campaign` — one execution, one pool, runs to completion;
-    * :class:`repro.sched.tenancy.FairShareMultiplexer` — many concurrent
-      executions (one per tenant job) interleaved on one shared pool,
-      with per-tenant fair-share and live cross-job dedup.
+    The driver is :class:`repro.sched.tenancy.FairShareMultiplexer`: it
+    interleaves many executions (one per job) on one shared pool, with
+    per-tenant fair-share and live cross-job dedup.  :func:`run_campaign`
+    is its single-job case.
 
     ``labels`` (e.g. ``{"tenant": "alice"}``) are folded into every
     metrics-registry series the execution touches, so a multi-tenant
-    snapshot can be sliced per tenant while unlabeled single-campaign
-    runs keep their PR-5 series shapes.
+    snapshot can be sliced per tenant.  The multiplexer labels each
+    execution with its tenant; ``run_campaign`` uses the campaign name.
 
     Driver protocol::
 
@@ -263,16 +263,14 @@ class CampaignExecution:
         self,
         campaign: Campaign,
         store: ResultStore,
-        clock: Optional[Callable[[], float]] = None,
         progress: Optional[Callable[[str], None]] = None,
         labels: Optional[Mapping[str, str]] = None,
     ) -> None:
-        if clock is None:
-            t0 = time.monotonic()
-            clock = lambda: time.monotonic() - t0  # noqa: E731
+        t0 = time.monotonic()
         self.campaign = campaign
         self.store = store
-        self.clock = clock
+        #: Seconds since the execution started (span start/end times).
+        self.clock: Callable[[], float] = lambda: time.monotonic() - t0
         self.labels: Dict[str, str] = dict(labels or {})
         self._progress = progress
         self.tasks: Dict[str, TaskSpec] = {t.name: t for t in campaign.tasks}
@@ -547,6 +545,10 @@ class CampaignExecution:
         return self._finished_spans
 
 
+#: Numbers run_campaign's jobs: their pool keys are ``run-<n>/<task>``.
+_RUN_IDS = itertools.count(1)
+
+
 def run_campaign(
     campaign: Campaign,
     store: ResultStore,
@@ -574,18 +576,28 @@ def run_campaign(
     ``$REPRO_METRICS_INTERVAL`` or 1.0) — the stream ``python -m repro
     campaign status --follow`` tails for live progress.
 
+    The run is one job on a private
+    :class:`~repro.sched.tenancy.FairShareMultiplexer`, stepped until the
+    job is terminal.  Its pool keys are ``run-<n>/<task>`` with ``n``
+    unique in the process, so a shared pool's leftovers from an earlier
+    (cancelled) run are never credited to this one.
+
     A ``KeyboardInterrupt`` cancels cleanly: in-flight work is abandoned,
     everything already stored stays stored, and the report (``cancelled=
     True``) lists the unfinished tasks as ``pending`` — re-running the
     campaign resumes from the store.
     """
-    owns_pool = pool is None
-    if pool is None:
-        pool = WorkerPool(jobs=jobs)
-    if max_in_flight is None:
-        max_in_flight = 2 * pool.jobs
-    if max_in_flight < 1:
-        raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
+    from repro.sched.tenancy import FairShareMultiplexer, TenantQuota
+
+    mux = FairShareMultiplexer(
+        store,
+        pool=pool,
+        jobs=jobs,
+        quota=TenantQuota(max_tasks_per_job=max(1, len(campaign.tasks))),
+        max_in_flight=max_in_flight,
+        progress=None if progress is None else (lambda _job, line: progress(line)),
+    )
+    pool = mux.pool
 
     writer = None
     was_enabled = _metrics.REGISTRY.enabled
@@ -596,10 +608,6 @@ def run_campaign(
         writer = SnapshotWriter(metrics_path, interval=metrics_interval)
 
     t0 = time.monotonic()
-
-    def now() -> float:
-        return time.monotonic() - t0
-
     registry = _metrics.REGISTRY
     if registry.enabled:
         registry.gauge(
@@ -609,39 +617,17 @@ def run_campaign(
             "repro_campaign_jobs", "pool workers serving the campaign"
         ).set(pool.jobs)
 
-    execution = CampaignExecution(campaign, store, clock=now, progress=progress)
+    job = None
     cancelled = False
-
-    # Distributed tracing (zero-cost when $REPRO_TRACE is off): the run
-    # gets a root "job" span and each task a child "task" span whose context
-    # rides to the workers inside the task frames, so remote-side exec
-    # spans and PhaseCostRecord stamps all share one trace_id.
-    root_span = None
-    task_spans: Dict[str, Any] = {}
-    if _tracing.TRACER.enabled:
-        root_span = _tracing.TRACER.start_span(
-            f"campaign:{campaign.name}", kind="job",
-            attrs={"campaign": campaign.name, "tasks": len(campaign.tasks)},
-        )
-        execution.trace_id = root_span.trace_id
-
-    def dispatch(name: str) -> None:
-        spec = execution.start(name)
-        trace = None
-        if root_span is not None:
-            span = task_spans.get(name)
-            if span is None:
-                span = _tracing.TRACER.start_span(
-                    name, kind="task", parent=root_span, attrs={"task": name}
-                )
-                task_spans[name] = span
-            span.attrs["attempts"] = execution.attempts[name]
-            trace = span.context.to_dict()
-        pool.submit(name, spec.fn, spec.kwargs, timeout=spec.timeout, trace=trace)
-
     restore_sigint = None
     try:
-        while execution.has_pending:
+        # On traced runs ($REPRO_TRACE) the job gets a "job" span and each
+        # task a child "task" span whose context rides to the workers inside
+        # the task frames, so remote-side exec spans and PhaseCostRecord
+        # stamps all share the job's trace_id.
+        job = mux.submit(campaign.name, campaign, job_id=f"run-{next(_RUN_IDS)}")
+        execution = job.execution
+        while not job.terminal:
             if registry.enabled:
                 registry.gauge(
                     "repro_campaign_frontier_size", "ready-to-dispatch tasks"
@@ -651,42 +637,10 @@ def run_campaign(
                 ).set(len(execution.in_flight))
             if writer is not None:
                 writer.maybe_emit()
-            # Dispatch the frontier, highest priority first, under backpressure.
-            while pool.in_flight < max_in_flight:
-                name = execution.pop_ready()
-                if name is None:
-                    break
-                if execution.tasks[name].inline:
-                    if root_span is not None:
-                        with _tracing.TRACER.span(
-                            name, kind="task", parent=root_span,
-                            attrs={"task": name, "inline": True},
-                        ):
-                            execution.run_inline(name)
-                    else:
-                        execution.run_inline(name)
-                else:
-                    dispatch(name)
-            if not execution.in_flight:
-                if execution.has_pending:
-                    # Backpressure from a shared pool still draining another
-                    # campaign's leftovers; give it a beat to free slots.
-                    pool.events(wait=0.1)
-                continue  # inline completions may have opened new frontier
-
-            for event in pool.events(wait=0.5):
-                if event.key not in execution.tasks:
-                    continue  # a shared pool's stale leftovers
-                verdict = execution.record_event(event)
-                if verdict == "retry":
-                    dispatch(event.key)
-                elif root_span is not None:
-                    span = task_spans.pop(event.key, None)
-                    if span is not None:
-                        _tracing.TRACER.finish(
-                            span, status="ok" if verdict == "done" else "error"
-                        )
+            mux.step(wait=0.5)
     except KeyboardInterrupt:
+        if job is None:
+            raise  # interrupted in the resume pass: no job to report on
         cancelled = True
         # `timeout -s INT` (and an impatient Ctrl-C Ctrl-C) delivers SIGINT
         # both to the process and to its group, so a second interrupt can
@@ -702,8 +656,9 @@ def run_campaign(
                      "re-run to resume")
     finally:
         try:
-            if owns_pool:
-                pool.shutdown()
+            # Finishes a job still running (its unfinished tasks become
+            # pending) and stops the pool if the multiplexer created it.
+            mux.shutdown()
         finally:
             if restore_sigint is not None:
                 signal.signal(signal.SIGINT, restore_sigint)
@@ -717,22 +672,16 @@ def run_campaign(
                 writer.close()
                 if not was_enabled:
                     registry.disable()
-            if root_span is not None:
-                for span in task_spans.values():
-                    _tracing.TRACER.finish(span, status="cancelled")
-                _tracing.TRACER.finish(
-                    root_span, status="cancelled" if cancelled else "ok"
-                )
 
-    ordered = execution.finish(cancelled=cancelled)
+    ordered = job.spans
     report = CampaignReport(
         campaign=campaign.name,
         spans=ordered,
         cancelled=cancelled,
-        wall_time=now(),
+        wall_time=time.monotonic() - t0,
         store_root=store.root,
         pool_stats=dict(pool.stats),
-        trace_id=execution.trace_id,
+        trace_id=job.trace_id,
     )
 
     snapshots: Sequence[Any] = ()
@@ -764,10 +713,10 @@ def run_campaign(
         # lanes draws the flow arrows from each exec span down to its
         # stamped phase-cost rows.
         trace_spans = []
-        if _tracing.TRACER.enabled and execution.trace_id is not None:
+        if _tracing.TRACER.enabled and job.trace_id is not None:
             trace_spans = [
                 s.to_dict() for s in list(_tracing.TRACER.finished)
-                if s.trace_id == execution.trace_id
+                if s.trace_id == job.trace_id
             ]
         write_combined_trace(
             trace_path,

@@ -1,15 +1,14 @@
 """The persistent warm worker pool.
 
-Process-per-point execution (PR 3's :mod:`repro.analysis.parallel_sweep`)
-pays a full interpreter ``fork``/``spawn`` plus a ``repro`` import for
-*every* grid point.  At campaign scale — thousands of (model, problem, n,
-params, seed) points, multiplied again by the chaos and adversary gates —
-that overhead dominates the points themselves.  :class:`WorkerPool` keeps
-``jobs`` long-lived worker processes alive instead: each worker imports
-:mod:`repro` once, then receives pickled ``(key, fn, kwargs)`` task
-messages over a pipe and sends outcomes back, so a task costs one pickle
-round trip rather than one process launch (``benchmarks/bench_sched.py``
-measures the difference).
+A fresh process per grid point pays a full interpreter ``fork``/``spawn``
+plus a ``repro`` import for *every* point.  At campaign scale — thousands
+of (model, problem, n, params, seed) points, multiplied again by the
+chaos and adversary gates — that overhead dominates the points
+themselves.  :class:`WorkerPool` keeps ``jobs`` long-lived worker
+processes alive instead: each worker imports :mod:`repro` once, then
+receives pickled ``(key, fn, kwargs)`` task messages over a pipe and
+sends outcomes back, so a task costs one pickle round trip rather than
+one process launch.
 
 The pool keeps the failure-isolation semantics the sweep runner already
 promises (docs/ROBUSTNESS.md):
@@ -218,8 +217,7 @@ class WorkerPool:
                     results[event.key] = event
 
     ``fn`` and each kwarg value must be picklable (module-level functions,
-    :func:`functools.partial` of them, plain data) — the same contract
-    process-per-point execution always had.
+    :func:`functools.partial` of them, plain data).
     """
 
     #: Local pipe workers need no servicing while idle; the multiplexer

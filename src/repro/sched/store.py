@@ -189,13 +189,15 @@ class ResultStore:
         # A concurrent prune() may rmdir the shard directory between our
         # makedirs and the mkstemp/replace below (it only removes *empty*
         # shards, and ours is empty until the replace lands).  That
-        # surfaces as FileNotFoundError here; recreate the shard and try
-        # again rather than failing a task whose result is in hand.
+        # surfaces as FileNotFoundError here — or as FileExistsError from
+        # makedirs itself, when the rmdir lands between its mkdir seeing
+        # the shard and its isdir check; recreate the shard and try again
+        # rather than failing a task whose result is in hand.
         for attempt in range(3):
-            os.makedirs(directory, exist_ok=True)
             try:
+                os.makedirs(directory, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(prefix=".store-", dir=directory)
-            except FileNotFoundError:
+            except (FileExistsError, FileNotFoundError):
                 continue
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -336,8 +338,12 @@ class ResultStore:
                                 os.unlink(os.path.join(shard_dir, name))
                             except OSError:  # pragma: no cover
                                 pass
-                    if not os.listdir(shard_dir):
+                    try:
                         os.rmdir(shard_dir)
+                    except OSError:
+                        # Not empty (live entries, or a racing put's temp
+                        # file), or already gone: leave the shard be.
+                        pass
         return pruned
 
 

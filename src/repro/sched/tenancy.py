@@ -1,12 +1,14 @@
 """Multi-tenant fair-share multiplexing of campaigns onto one warm pool.
 
-:func:`repro.sched.campaign.run_campaign` drives **one** campaign to
-completion and owns the process while it does.  A long-running service
-(``python -m repro serve``) has the opposite shape: many tenants submit
-campaigns concurrently, and all of them must share a single warm
-:class:`~repro.sched.pool.WorkerPool` and one content-addressed
-:class:`~repro.sched.store.ResultStore` without any tenant starving the
-rest.  This module is that scheduling layer:
+:class:`FairShareMultiplexer` is the one campaign driver: it steps
+:class:`~repro.sched.campaign.CampaignExecution` state machines on a
+:class:`~repro.sched.pool.WorkerPool` (or a
+:class:`~repro.sched.net.pool.RemoteWorkerPool`) and persists outcomes to
+one content-addressed :class:`~repro.sched.store.ResultStore`.  A
+long-running service (``python -m repro serve``) feeds it many tenants'
+campaigns concurrently; :func:`repro.sched.campaign.run_campaign` is the
+single-tenant case — it submits one campaign and steps the multiplexer
+until that job is terminal.  The scheduling layer:
 
 * **Per-tenant queues** — each tenant owns a FIFO of jobs (a job = one
   submitted :class:`~repro.sched.campaign.Campaign` wrapped in a
@@ -16,15 +18,15 @@ rest.  This module is that scheduling layer:
   *across tenants*, one task per turn, so a tenant with a 10 000-task
   campaign and a tenant with a 4-task campaign both keep their frontier
   moving.  Within a tenant, jobs run oldest-first and tasks highest-
-  priority-first (the same ordering ``run_campaign`` uses).
+  priority-first.
 * **Quotas** (:class:`TenantQuota`) — per-tenant caps on concurrent
   jobs, on tasks in flight on the pool, and on submitted campaign size.
   A submission over quota raises :class:`QuotaExceeded`, which the HTTP
   layer maps to a ``429``-style contract error.
 * **Pool admission** — the global ``max_in_flight`` backpressure bound
-  (default ``2 * pool.jobs``, exactly ``run_campaign``'s) still applies
-  across all tenants, so a burst of submissions queues in the scheduler
-  rather than materialising as pickles in the pool.
+  (default ``2 * pool.jobs``) applies across all tenants, so a burst of
+  submissions queues in the scheduler rather than materialising as
+  pickles in the pool.
 * **Live cross-tenant dedup** — the store already dedups *completed*
   work (identical task specs share one SHA-256 object).  The multiplexer
   extends that to *in-flight* work: a task whose content key is already
@@ -33,9 +35,11 @@ rest.  This module is that scheduling layer:
   If the owner fails, waiters are requeued to execute it themselves.
 * **Cancellation** — cancelling a job stops dispatching its tasks and
   lets in-flight ones drain *into the store* (an abandoned result is
-  still a resume hit), then classifies the rest ``pending`` — the same
-  semantics as a Ctrl-C'd ``run_campaign``.  Resubmitting the same
-  campaign resumes from whatever reached the store.
+  still a resume hit), then classifies the rest ``pending``.
+  :meth:`~FairShareMultiplexer.shutdown` instead finishes every live job
+  at once, abandoning its in-flight tasks (what a Ctrl-C'd
+  ``run_campaign`` does).  Resubmitting the same campaign resumes from
+  whatever reached the store.
 
 The multiplexer is single-threaded by design: all pool interaction
 happens inside :meth:`FairShareMultiplexer.step`, which one scheduler
@@ -46,6 +50,7 @@ the blocking ``pool.events`` wait happens outside it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -185,8 +190,9 @@ class FairShareMultiplexer:
     max_in_flight:
         Global pool admission bound; default ``2 * pool.jobs``.
     progress:
-        Optional line sink receiving ``"job-id: ..."``-prefixed task
-        progress (what ``serve --verbose`` prints).
+        Optional sink called as ``progress(job_id, line)`` for every task
+        progress line of every job (``serve`` prints them as
+        ``"job-id: line"``; ``run_campaign`` prints the bare line).
     """
 
     def __init__(
@@ -379,12 +385,7 @@ class FairShareMultiplexer:
     def _job_progress(self, job_id: str):
         if self._progress is None:
             return None
-        sink = self._progress
-
-        def emit(line: str) -> None:
-            sink(f"{job_id}: {line}")
-
-        return emit
+        return functools.partial(self._progress, job_id)
 
     def _activate(self, changed: List[JobRecord]) -> None:
         """Move queued jobs to running (their resume pass ran at submit)."""
@@ -565,7 +566,7 @@ class FairShareMultiplexer:
         if span is None:
             parent_span = self._job_spans.get(job.id)
             span = _tracing.TRACER.start_span(
-                f"{job.id}/{name}", kind="task",
+                name, kind="task",
                 parent=None if parent_span is None else parent_span.context,
                 attrs={"job": job.id, "task": name, "tenant": job.tenant},
             )

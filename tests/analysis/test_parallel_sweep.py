@@ -151,6 +151,10 @@ def healthy_point(n):
     return {"measured": float(n), "correct": True}
 
 
+def pid_point(n):
+    return {"measured": float(n), "correct": True, "pid": os.getpid()}
+
+
 class TestFaultTolerance:
     def test_worker_crash_is_isolated_and_retried(self, tmp_path):
         points = parallel_sweep(
@@ -229,6 +233,18 @@ class TestFaultTolerance:
             parallel_sweep({"n": [1]}, healthy_point, jobs=1, backoff=-0.5)
         with pytest.raises(ValueError, match="on_error"):
             parallel_sweep({"n": [1]}, healthy_point, jobs=1, on_error="panic")
+        with pytest.raises(ValueError, match="executor"):
+            parallel_sweep({"n": [1]}, healthy_point, jobs=2, executor="process")
+
+    def test_single_task_workers_run_every_point_in_its_own_process(self):
+        from repro.sched.pool import WorkerPool
+
+        with WorkerPool(jobs=2, max_tasks_per_worker=1) as pool:
+            points = parallel_sweep({"n": [1, 2, 3, 4]}, pid_point, pool=pool)
+        pids = [p.extra["pid"] for p in points]
+        assert [p.measured for p in points] == [1.0, 2.0, 3.0, 4.0]
+        assert len(set(pids)) == 4
+        assert os.getpid() not in pids
 
 
 class TestCacheRobustness:

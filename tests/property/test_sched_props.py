@@ -1,9 +1,7 @@
-"""Executor equivalence: serial, process-per-point and warm-pool sweeps
-must be bit-identical.
+"""Executor equivalence: serial and warm-pool sweeps must be bit-identical.
 
-The warm pool (repro.sched.pool) replaces process-per-point execution as
-parallel_sweep's worker backend; its whole contract is that *where* a
-point runs is invisible in the results.  These properties pin that:
+The warm pool (repro.sched.pool) is parallel_sweep's worker backend; its
+whole contract is that *where* a point runs is invisible in the results.  These properties pin that:
 random grids, seeded and unseeded, produce byte-for-byte equal outcome
 lists under every executor, and a store-backed re-run (resume) changes
 nothing either.
@@ -84,17 +82,16 @@ def test_store_backed_rerun_is_identical(grid, base_seed, tmp_path_factory):
     assert store.stats().entries == len(live)
 
 
-def test_all_three_executors_bit_identical_on_a_real_grid():
-    """The non-hypothesis anchor: serial == process-per-point == warm pool
-    on a multi-axis seeded grid (process-per-point is too slow to run under
-    hypothesis, so it gets one thorough deterministic case)."""
+def test_serial_and_pool_bit_identical_on_a_real_grid():
+    """The non-hypothesis anchor: serial == warm pool on a multi-axis
+    seeded grid, with the pool built by parallel_sweep itself at jobs=2."""
     grid = {"x": [1, 5, 9, 13], "k": [0, 3]}
     runs = {
         executor: parallel_sweep(
             grid, seeded_point, executor=executor, jobs=2,
             seed_arg="seed", base_seed=42,
         )
-        for executor in ("serial", "process", "pool")
+        for executor in ("serial", "pool")
     }
-    assert runs["serial"] == runs["process"] == runs["pool"]
+    assert runs["serial"] == runs["pool"]
     assert all(p.correct for p in runs["serial"])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -35,6 +36,11 @@ def flaky(marker_dir, name="flaky"):
     if count == 0:
         raise RuntimeError("first attempt fails")
     return {"value": count, "correct": True}
+
+
+def sleepy(seconds, value):
+    time.sleep(seconds)
+    return {"value": value, "correct": True}
 
 
 def total(results):
@@ -218,6 +224,39 @@ class TestCancel:
         assert resumed.ok
         assert resumed.counts["cached"] >= 1
 
+    def test_cancelled_runs_leftovers_are_not_credited_to_the_next_run(
+        self, tmp_path
+    ):
+        """Regression: both runs keyed pool tasks by the bare task name, so
+        the cancelled run's still-running ``x`` completed as the next
+        run's ``x`` on the shared pool, and its outcome was stored under
+        the next run's content key."""
+        from repro.sched.pool import WorkerPool
+
+        store = ResultStore(str(tmp_path))
+        first = Campaign("a", [
+            TaskSpec("fast", emit, {"value": 0}),
+            TaskSpec("x", sleepy, {"seconds": 0.5, "value": 1}),
+        ])
+        second = Campaign("b", [TaskSpec("x", sleepy, {"seconds": 1.0, "value": 2})])
+
+        def interrupt_after_fast(line):
+            if " done fast " in f" {line} ":
+                raise KeyboardInterrupt
+
+        with WorkerPool(jobs=2) as pool:
+            cancelled = run_campaign(
+                first, store, pool=pool, progress=interrupt_after_fast
+            )
+            assert cancelled.cancelled
+            assert {s.name: s.status for s in cancelled.spans}["x"] == "pending"
+            report = run_campaign(second, store, pool=pool)
+        assert report.ok
+        [span] = report.spans
+        assert span.end - span.start >= 1.0
+        key = store.key_for(sleepy, {"seconds": 1.0, "value": 2})
+        assert store.get_outcome(key)["value"] == 2
+
     def test_exception_exit_still_writes_final_snapshot(self, tmp_path):
         """Regression: a callback raising out of the event loop used to
         skip ``SnapshotWriter.close()``, losing the final snapshot and
@@ -244,6 +283,29 @@ class TestCancel:
         snapshots = read_snapshots(str(metrics))
         assert snapshots, "final snapshot lost on the exception exit path"
         assert snapshots[-1].final
+        assert REGISTRY.enabled == was_enabled
+
+    def test_interrupt_in_resume_pass_still_writes_final_snapshot(self, tmp_path):
+        from repro.obs.metrics import REGISTRY
+        from repro.obs.snapshot import read_snapshots
+
+        camp = Campaign("c", [TaskSpec("a", emit, {"value": 1})])
+        store = ResultStore(str(tmp_path / "store"))
+        run_campaign(camp, store, jobs=1)
+        metrics = tmp_path / "metrics.jsonl"
+
+        def interrupt_on_cached(line):
+            if " cached " in f" {line} ":
+                raise KeyboardInterrupt
+
+        was_enabled = REGISTRY.enabled
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                camp, store, jobs=1, progress=interrupt_on_cached,
+                metrics_path=str(metrics), metrics_interval=60.0,
+            )
+        snapshots = read_snapshots(str(metrics))
+        assert snapshots and snapshots[-1].final
         assert REGISTRY.enabled == was_enabled
 
 

@@ -288,6 +288,62 @@ class TestConcurrentWriters:
         assert raced["count"] == 1
         assert store.get_outcome(key)["measured"] == 64.0
 
+    def test_put_survives_prune_rmdir_inside_makedirs(self, tmp_path, monkeypatch):
+        """Regression: makedirs(exist_ok=True) re-raises FileExistsError
+        when the shard vanishes between its mkdir (EEXIST) and its own
+        isdir check."""
+        import errno
+
+        store = ResultStore(str(tmp_path / "store"))
+        key = store.key_for(point_fn, {"n": 32})
+        shard = os.path.dirname(store.path_for(key))
+        os.makedirs(shard)  # an empty shard, as a prune is about to see it
+        real_mkdir = os.mkdir
+        raced = {"done": False}
+
+        def racing_mkdir(path, mode=0o777):
+            if path == shard and not raced["done"]:
+                raced["done"] = True
+                os.rmdir(path)  # prune removes the empty shard just now
+                raise FileExistsError(errno.EEXIST, "File exists", path)
+            return real_mkdir(path, mode)
+
+        monkeypatch.setattr(os, "mkdir", racing_mkdir)
+        path = store.put(key, {"measured": 128.0, "correct": True})
+        assert raced["done"]
+        assert os.path.exists(path)
+        assert store.get_outcome(key)["measured"] == 128.0
+
+    @pytest.mark.parametrize("race", ["put_lands", "shard_gone"])
+    def test_prune_skips_a_shard_that_changes_under_it(
+        self, tmp_path, monkeypatch, race
+    ):
+        """Regression: prune's rmdir of an emptied shard raised when a
+        put landed a temp file in it (ENOTEMPTY) or the shard was
+        already gone (ENOENT)."""
+        store = ResultStore(str(tmp_path / "store"))
+        key = store.key_for(point_fn, {"n": 64})
+        store.put(key, {"measured": 256.0, "correct": True})
+        shard = os.path.dirname(store.path_for(key))
+        real_rmdir = os.rmdir
+        raced = {"done": False}
+
+        def racing_rmdir(path, *args, **kwargs):
+            if path == shard and not raced["done"]:
+                raced["done"] = True
+                if race == "put_lands":
+                    with open(os.path.join(path, ".store-racing"), "w"):
+                        pass
+                else:
+                    real_rmdir(path)
+            return real_rmdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "rmdir", racing_rmdir)
+        assert store.prune(older_than_s=0) == [key]
+        assert raced["done"]
+        assert store.get(key) is None
+        assert os.path.isdir(shard) == (race == "put_lands")
+
     def test_concurrent_put_and_prune_stress(self, tmp_path):
         import threading
 
